@@ -88,9 +88,7 @@ type bfState struct {
 
 	// Framing scratch for IngestBackfill (single in-flight call by
 	// contract — the loader is one goroutine).
-	enc     []byte
-	offs    []int
-	payload [][]byte
+	frame walBatch
 }
 
 // BackfillState returns the durable backfill resume point: the last
@@ -138,49 +136,31 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		bf.mu.Lock()
 		bf.pendingLow = e.wal.NextSeq() // lower bound: concurrent appends only raise NextSeq
 		bf.mu.Unlock()
-		bf.enc, bf.offs, bf.payload = bf.enc[:0], bf.offs[:0], bf.payload[:0]
+		bf.frame.reset()
 		for i := range batch {
-			bf.offs = append(bf.offs, len(bf.enc))
-			bf.enc = appendObserveRecordKind(bf.enc, batch[i], recObserveBF)
+			bf.frame.add(walRecord{kind: recObserveBF, obs: batch[i]})
 		}
 		if cur != nil {
-			bf.offs = append(bf.offs, len(bf.enc))
-			bf.enc = appendCursorRecord(bf.enc, *cur)
+			bf.frame.add(walRecord{kind: recCursor, cur: cur})
 		}
-		for j, off := range bf.offs {
-			end := len(bf.enc)
-			if j+1 < len(bf.offs) {
-				end = bf.offs[j+1]
-			}
-			bf.payload = append(bf.payload, bf.enc[off:end])
-		}
+		payloads := bf.frame.payloads()
 		var err error
-		if first, err = e.wal.AppendBatch(bf.payload); err != nil {
+		if first, err = e.wal.AppendBatch(payloads); err != nil {
 			e.met.ingestErrors.Add(uint64(len(batch)))
 			return err
 		}
-		last := first + uint64(len(bf.payload)) - 1
-		e.noteBackfillBatch(last, uint64(len(batch)), cur)
+		e.noteBackfillBatch(first+uint64(len(payloads))-1, uint64(len(batch)), cur)
 	} else {
 		e.noteBackfillBatch(0, uint64(len(batch)), cur)
 	}
 
 	// Fan the durable rows out to their shards. Group in batch order so
 	// per-model slices stay chronological; distinct models absorb in
-	// parallel.
+	// parallel. Row i carries sequence number first+i (the rows precede
+	// the cursor record in the batch).
 	sc := e.getScratch()
 	for i := range batch {
-		m := batch[i].Model
-		k, ok := sc.groups[m]
-		if !ok {
-			k = len(sc.order)
-			sc.groups[m] = k
-			sc.order = append(sc.order, m)
-			if k == len(sc.idxs) {
-				sc.idxs = append(sc.idxs, nil)
-			}
-		}
-		sc.idxs[k] = append(sc.idxs[k], i)
+		sc.group(batch[i].Model, i)
 	}
 	var (
 		wg     sync.WaitGroup
@@ -192,7 +172,8 @@ func (e *Engine) IngestBackfill(batch []FleetObservation, cur *BackfillCursor) e
 		wg.Add(1)
 		err := e.submitBlocking(model, func(s *shardState) {
 			defer wg.Done()
-			e.applyBackfill(s, batch, idxs, first)
+			e.applyRecords(s, s.stage(batch, idxs, recObserveBF, first), false)
+			s.unstage()
 		})
 		if err != nil {
 			wg.Done()
@@ -239,47 +220,6 @@ func (e *Engine) submitBlocking(model string, fn func(*shardState)) error {
 	}
 }
 
-// applyBackfill absorbs one shard's slice of a backfill batch on the
-// shard's worker. Mirrors applyBatch minus per-row results and scoring;
-// seq bookkeeping keeps snapshots and WAL truncation exact.
-func (e *Engine) applyBackfill(s *shardState, batch []FleetObservation, idxs []int, first uint64) {
-	e.mu.Lock()
-	for _, i := range idxs {
-		e.modelOf[batch[i].Serial] = batch[i].Model
-	}
-	e.mu.Unlock()
-	e.met.ingests.Add(uint64(len(idxs)))
-	applied := 0
-	for _, i := range idxs {
-		obs := batch[i]
-		if e.wal != nil {
-			seq := first + uint64(i)
-			s.lastSeq = seq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = seq
-			}
-		}
-		if err := s.p.Absorb(obs.Observation); err != nil {
-			// Validated upfront, so this is a poison pill; skip it the
-			// way recovery replay would, keeping live and replayed state
-			// identical.
-			e.met.ingestErrors.Inc()
-			e.log.Warn("backfill: predictor rejected row; skipping",
-				"model", obs.Model, "serial", obs.Serial, "err", err)
-			continue
-		}
-		applied++
-		if obs.Failed {
-			e.mu.Lock()
-			delete(e.modelOf, obs.Serial)
-			e.mu.Unlock()
-		}
-	}
-	if applied > 0 {
-		e.noteApplied(s, applied)
-	}
-}
-
 // noteBackfillBatch advances the in-memory cursor accounting after a
 // batch is durable: a checkpointing batch resets rowsAfter to zero, a
 // plain batch adds its rows.
@@ -298,31 +238,28 @@ func (e *Engine) noteBackfillBatch(lastSeq uint64, rows uint64, cur *BackfillCur
 	}
 }
 
-// noteBackfillRecord accounts one replayed/replicated backfill row
-// record. Records the cursor state already covers (seq <= bf.seq) are
-// not news.
-func (e *Engine) noteBackfillRecord(seq uint64) {
+// noteResumeRecord advances the resume accounting for one replayed or
+// replicated record: a cursor record becomes the new resume point, a
+// backfill row counts toward rowsAfter, and other kinds are not
+// backfill's. Records the cursor state already covers (seq <= bf.seq)
+// are not news.
+func (e *Engine) noteResumeRecord(seq uint64, rec walRecord) {
+	if rec.kind != recCursor && rec.kind != recObserveBF {
+		return
+	}
 	e.bf.mu.Lock()
 	defer e.bf.mu.Unlock()
 	if seq <= e.bf.seq {
 		return
 	}
 	e.bf.seq = seq
-	e.bf.rowsAfter++
 	e.bf.valid = true
-}
-
-// noteCursorRecord accounts one replayed/replicated cursor record.
-func (e *Engine) noteCursorRecord(seq uint64, cur *BackfillCursor) {
-	e.bf.mu.Lock()
-	defer e.bf.mu.Unlock()
-	if seq <= e.bf.seq {
-		return
+	if rec.kind == recCursor {
+		e.bf.cur = rec.cur.clone()
+		e.bf.rowsAfter = 0
+	} else {
+		e.bf.rowsAfter++
 	}
-	e.bf.seq = seq
-	e.bf.cur = cur.clone()
-	e.bf.rowsAfter = 0
-	e.bf.valid = true
 }
 
 // DumpModel streams the named model's complete predictor state
@@ -415,6 +352,42 @@ const (
 	cursorMagic    = "OBC1"
 )
 
+// appendBackfillCursorFile encodes the cursor file body: magic, the
+// covered WAL seq, rowsAfter, then the cursor as a cursor record.
+func appendBackfillCursorFile(buf []byte, seq, rowsAfter uint64, cur BackfillCursor) []byte {
+	buf = append(buf, cursorMagic...)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.AppendUvarint(buf, rowsAfter)
+	return appendCursorRecord(buf, cur)
+}
+
+// parseBackfillCursorFile decodes appendBackfillCursorFile's output; any
+// malformed input is an error, never a panic.
+func parseBackfillCursorFile(b []byte) (cur BackfillCursor, seq, rowsAfter uint64, err error) {
+	if len(b) < len(cursorMagic)+8 || string(b[:len(cursorMagic)]) != cursorMagic {
+		return cur, 0, 0, fmt.Errorf("orfdisk: bad backfill cursor file magic")
+	}
+	b = b[len(cursorMagic):]
+	seq = binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	rowsAfter, n := binary.Uvarint(b)
+	if n <= 0 {
+		return cur, 0, 0, fmt.Errorf("orfdisk: truncated backfill cursor file")
+	}
+	b = b[n:]
+	if len(b) == 0 || b[0] != recCursor {
+		return cur, 0, 0, fmt.Errorf("orfdisk: backfill cursor file holds no cursor record")
+	}
+	c, err := decodeCursorRecord(b[1:])
+	if err != nil {
+		return cur, 0, 0, err
+	}
+	return *c, seq, rowsAfter, nil
+}
+
+// writeBackfillCursorFile atomically replaces the cursor file and
+// fsyncs the data directory, so the rename is durable before Snapshot
+// truncates the WAL suffix that may hold the newest cursor record.
 func (e *Engine) writeBackfillCursorFile() error {
 	e.bf.mu.Lock()
 	valid, cur, rowsAfter, seq := e.bf.valid, e.bf.cur.clone(), e.bf.rowsAfter, e.bf.seq
@@ -422,11 +395,7 @@ func (e *Engine) writeBackfillCursorFile() error {
 	if !valid {
 		return nil
 	}
-	buf := make([]byte, 0, 64+32*len(cur.Files))
-	buf = append(buf, cursorMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.AppendUvarint(buf, rowsAfter)
-	buf = appendCursorRecord(buf, cur)
+	buf := appendBackfillCursorFile(make([]byte, 0, 64+32*len(cur.Files)), seq, rowsAfter, cur)
 
 	final := filepath.Join(e.cfg.DataDir, cursorFileName)
 	tmp := final + ".tmp"
@@ -445,7 +414,10 @@ func (e *Engine) writeBackfillCursorFile() error {
 		os.Remove(tmp)
 		return werr
 	}
-	return os.Rename(tmp, final)
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	return syncDir(e.cfg.DataDir)
 }
 
 // loadBackfillCursorFile seeds the cursor state during recovery. A
@@ -458,27 +430,13 @@ func (e *Engine) loadBackfillCursorFile() error {
 	if err != nil {
 		return err
 	}
-	if len(b) < len(cursorMagic)+8 || string(b[:len(cursorMagic)]) != cursorMagic {
-		return fmt.Errorf("orfdisk: bad backfill cursor file magic")
-	}
-	b = b[len(cursorMagic):]
-	seq := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	rowsAfter, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fmt.Errorf("orfdisk: truncated backfill cursor file")
-	}
-	b = b[n:]
-	if len(b) < 1 || b[0] != recCursor {
-		return fmt.Errorf("orfdisk: backfill cursor file carries record kind %d", b[0])
-	}
-	cur, err := decodeCursorRecord(b[1:])
+	cur, seq, rowsAfter, err := parseBackfillCursorFile(b)
 	if err != nil {
 		return err
 	}
 	e.bf.mu.Lock()
 	e.bf.valid = true
-	e.bf.cur = *cur
+	e.bf.cur = cur
 	e.bf.rowsAfter = rowsAfter
 	e.bf.seq = seq
 	e.bf.mu.Unlock()

@@ -192,13 +192,32 @@ type shardState struct {
 	// covered by a snapshot). It is the shard's contribution to the WAL
 	// truncation cutoff. Only the shard's worker touches it.
 	firstUnsnapped uint64
-	// WAL-encoding scratch, reused across ingests so the steady-state
-	// path does not allocate a fresh record buffer per observation.
-	// Only the shard's worker touches these.
-	encBuf  []byte
-	offs    []int
-	payload [][]byte
+	// Worker scratch reused across batches so the steady-state path does
+	// not allocate per observation: the WAL framing buffer and the
+	// records handed to applyRecords. Only the shard's worker touches
+	// these.
+	frame walBatch
+	items []applyItem
 }
+
+// stage loads one shard's slice of batch into the worker's reusable
+// item scratch as records of the given kind. first is the WAL sequence
+// number of batch[0] when the whole batch is already durable (backfill),
+// 0 when the items are yet to be appended.
+func (s *shardState) stage(batch []FleetObservation, idxs []int, kind byte, first uint64) []applyItem {
+	s.items = s.items[:0]
+	for _, i := range idxs {
+		it := applyItem{rec: walRecord{kind: kind, obs: batch[i]}}
+		if first != 0 {
+			it.seq = first + uint64(i)
+		}
+		s.items = append(s.items, it)
+	}
+	return s.items
+}
+
+// unstage drops the scratch's references to the caller's observations.
+func (s *shardState) unstage() { clear(s.items) }
 
 // engineMetrics is the engine-level instrument set (the pool and WAL
 // register their own families on the same registry).
@@ -219,8 +238,8 @@ type engineMetrics struct {
 
 func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 	return engineMetrics{
-		ingests:         reg.Counter("engine_ingests_total", "Observations applied on shard workers (WAL append + predictor update)."),
-		ingestErrors:    reg.Counter("engine_ingest_errors_total", "Observations that failed on a shard worker (WAL append or predictor error)."),
+		ingests:         reg.Counter("engine_ingests_total", "Observations applied on shard workers outside recovery (live, backfill and replicated records)."),
+		ingestErrors:    reg.Counter("engine_ingest_errors_total", "Observations that failed on a shard worker outside recovery (WAL append or predictor error)."),
 		snapshots:       reg.Counter("engine_snapshots_total", "Completed engine snapshot passes."),
 		snapshotErrors:  reg.Counter("engine_snapshot_errors_total", "Failed engine snapshot passes."),
 		snapshotSeconds: reg.Histogram("engine_snapshot_seconds", "Wall time of one snapshot pass (all models)."),
@@ -396,11 +415,10 @@ func (e *Engine) snapshotLoop(every time.Duration) {
 
 // resolveModel fills in obs.Model from the engine's routing memory,
 // mirroring Fleet.Ingest's rules. It only reads: a first-seen route is
-// committed by apply once the observation is durably applied, so a shed
-// or failed observation leaves no phantom route behind (recovery could
-// never reconstruct one — the WAL has no record of it). pending holds
-// routes earlier in the same batch that have not been applied yet; nil
-// for single-observation paths.
+// committed by applyRecords once the observation is durably applied, so
+// a shed or failed observation leaves no phantom route behind (recovery
+// could never reconstruct one — the WAL has no record of it). pending
+// holds routes earlier in the same batch that have not been applied yet.
 func (e *Engine) resolveModel(obs *FleetObservation, pending map[string]string) error {
 	e.mu.RLock()
 	known, ok := e.modelOf[obs.Serial]
@@ -430,150 +448,125 @@ func (e *Engine) validate(obs FleetObservation) error {
 	return nil
 }
 
-// apply logs and applies one observation on its shard's worker.
-func (e *Engine) apply(s *shardState, obs FleetObservation) (Prediction, error) {
-	if e.wal != nil {
-		s.encBuf = appendObserveRecord(s.encBuf[:0], obs)
-		seq, err := e.wal.Append(s.encBuf)
-		if err != nil {
-			e.met.ingestErrors.Inc()
-			return Prediction{}, err
-		}
-		s.lastSeq = seq
-		if s.firstUnsnapped == 0 {
-			s.firstUnsnapped = seq
-		}
-	}
-	return e.applyLogged(s, obs)
+// applyItem is one WAL record on its way into a shard's predictor: its
+// sequence number (0 without a DataDir) and decoded body, plus the
+// outcome applyRecords fills in.
+type applyItem struct {
+	seq  uint64
+	rec  walRecord
+	pred Prediction
+	err  error
 }
 
-// applyLogged applies an already-durable (or memory-only) observation:
-// it commits the serial->model route, updates the predictor and, on a
-// failure observation, forgets the disk's route. Committing the route
-// any earlier would leave phantom routes behind shed or failed requests
-// that recovery cannot reconstruct.
-func (e *Engine) applyLogged(s *shardState, obs FleetObservation) (Prediction, error) {
-	e.mu.Lock()
-	e.modelOf[obs.Serial] = obs.Model
-	e.mu.Unlock()
-	e.met.ingests.Inc()
-	pred, err := s.p.Ingest(obs.Observation)
-	if err != nil {
-		e.met.ingestErrors.Inc()
-		return pred, err
-	}
-	e.noteApplied(s, 1)
-	if obs.Failed {
-		e.mu.Lock()
-		delete(e.modelOf, obs.Serial)
-		e.mu.Unlock()
-	}
-	return pred, nil
-}
-
-// applyBatch logs and applies one shard's slice of an IngestBatch on the
-// shard's worker: every record is framed into the shard's reused scratch
-// and made durable with a single wal.AppendBatch (one write, one
-// group-commit check), then each observation is applied individually so
-// per-item results are preserved. A WAL failure fails the whole slice —
-// none of it is durable; predictor errors stay per-item, matching the
-// single-observation path (whose records also persist before Ingest can
-// reject them).
-func (e *Engine) applyBatch(s *shardState, batch []FleetObservation, idxs []int, res []BatchResult) {
-	if e.wal != nil && len(idxs) > 1 {
-		s.encBuf, s.offs = s.encBuf[:0], s.offs[:0]
-		for _, i := range idxs {
-			s.offs = append(s.offs, len(s.encBuf))
-			s.encBuf = appendObserveRecord(s.encBuf, batch[i])
-		}
-		s.payload = s.payload[:0]
-		for j, off := range s.offs {
-			end := len(s.encBuf)
-			if j+1 < len(s.offs) {
-				end = s.offs[j+1]
+// applyRecords is the engine's one learning step. Every record reaches a
+// Predictor through it, whichever source fed it — live ingest, recovery
+// replay, replication or backfill — so live, replayed, replicated and
+// backfilled state are the same function of the same records. It runs
+// on the shard's worker, with the records durable and in WAL order, and
+// alone owns the per-record bookkeeping:
+//
+//   - lastSeq and firstUnsnapped, the snapshot and truncation marks;
+//   - the apply itself: Ingest for observe records, Absorb for backfill
+//     rows (identical state, no scoring), Retire for retire records;
+//   - poison pills: a record the predictor rejects is logged and skipped,
+//     its error left in the item. Its WAL entry persists and every
+//     replay rejects it the same deterministic way, so skipping keeps
+//     every copy of the state identical, where aborting would fail every
+//     restart on the same record;
+//   - counting: inside recover, applied and skipped records count as
+//     replayed/skipped; every other source counts each observe record
+//     in engine_ingests_total and each rejection in
+//     engine_ingest_errors_total;
+//   - routes: serial->model routes commit, and failed or retired disks'
+//     routes are forgotten, in record order under one lock. A rejected
+//     record commits nothing, like a shed one: a snapshot could never
+//     reconstruct its route;
+//   - the freeze cadence of the read path, once per call.
+func (e *Engine) applyRecords(s *shardState, items []applyItem, recovering bool) {
+	var applied, rejected, retired uint64
+	for i := range items {
+		it := &items[i]
+		if it.seq != 0 {
+			s.lastSeq = it.seq
+			if s.firstUnsnapped == 0 {
+				s.firstUnsnapped = it.seq
 			}
-			s.payload = append(s.payload, s.encBuf[off:end])
 		}
-		first, err := e.wal.AppendBatch(s.payload)
+		switch it.rec.kind {
+		case recRetire:
+			s.p.Retire(it.rec.obs.Serial)
+			retired++
+			continue
+		case recObserveBF:
+			it.err = s.p.Absorb(it.rec.obs.Observation)
+		default:
+			it.pred, it.err = s.p.Ingest(it.rec.obs.Observation)
+		}
+		if it.err != nil {
+			rejected++
+			e.log.Warn("predictor rejected record; skipping", "seq", it.seq,
+				"model", it.rec.obs.Model, "serial", it.rec.obs.Serial, "err", it.err)
+			continue
+		}
+		applied++
+	}
+	if recovering {
+		e.met.replayed.Add(applied + retired)
+		e.met.replaySkipped.Add(rejected)
+	} else {
+		e.met.ingests.Add(applied + rejected)
+		e.met.ingestErrors.Add(rejected)
+	}
+	e.mu.Lock()
+	for i := range items {
+		it := &items[i]
+		switch {
+		case it.err != nil: // rejected: no route
+		case it.rec.kind == recRetire || it.rec.obs.Failed:
+			delete(e.modelOf, it.rec.obs.Serial)
+		default:
+			e.modelOf[it.rec.obs.Serial] = it.rec.obs.Model
+		}
+	}
+	e.mu.Unlock()
+	if applied > 0 {
+		e.noteApplied(s, int(applied))
+	}
+}
+
+// logAndApply is the live feeder: on the shard's worker it frames the
+// items into one wal.AppendBatch (one write, one group-commit check),
+// stamps their sequence numbers, then applies them. A WAL failure fails
+// every item — none of them is durable, so none is applied.
+func (e *Engine) logAndApply(s *shardState, items []applyItem) {
+	if e.wal != nil {
+		s.frame.reset()
+		for i := range items {
+			s.frame.add(items[i].rec)
+		}
+		first, err := e.wal.AppendBatch(s.frame.payloads())
 		if err != nil {
-			e.met.ingestErrors.Add(uint64(len(idxs)))
-			for _, i := range idxs {
-				res[i].Err = err
+			for i := range items {
+				items[i].err = err
+				if items[i].rec.kind != recRetire {
+					e.met.ingestErrors.Inc()
+				}
 			}
 			return
 		}
-		s.lastSeq = first + uint64(len(idxs)) - 1
-		if s.firstUnsnapped == 0 {
-			s.firstUnsnapped = first
+		for i := range items {
+			items[i].seq = first + uint64(i)
 		}
-		// Every record in the group is durable: commit all routes under
-		// one lock (recovery would reconstruct exactly these), then apply
-		// each observation.
-		e.mu.Lock()
-		for _, i := range idxs {
-			e.modelOf[batch[i].Serial] = batch[i].Model
-		}
-		e.mu.Unlock()
-		e.met.ingests.Add(uint64(len(idxs)))
-		applied := 0
-		for _, i := range idxs {
-			obs := batch[i]
-			pred, err := s.p.Ingest(obs.Observation)
-			res[i].Prediction, res[i].Err = pred, err
-			if err != nil {
-				e.met.ingestErrors.Inc()
-				continue
-			}
-			applied++
-			if obs.Failed {
-				e.mu.Lock()
-				delete(e.modelOf, obs.Serial)
-				e.mu.Unlock()
-			}
-		}
-		if applied > 0 {
-			// One cadence check per batch: snapshots publish at most once
-			// per shard slice, which is exactly the "every K updates"
-			// granularity the read path promises.
-			e.noteApplied(s, applied)
-		}
-		return
 	}
-	for _, i := range idxs {
-		res[i].Prediction, res[i].Err = e.apply(s, batch[i])
-	}
+	e.applyRecords(s, items, false)
 }
 
 // Ingest routes one observation to its model's shard and returns the
-// live prediction. It blocks until the shard has processed the
-// observation; under overload it fails fast with ErrBusy.
+// live prediction: a one-item IngestBatch. It blocks until the shard has
+// processed the observation; under overload it fails fast with ErrBusy.
 func (e *Engine) Ingest(obs FleetObservation) (Prediction, error) {
-	if e.follower.Load() {
-		return Prediction{}, ErrNotLeader
-	}
-	if err := e.validate(obs); err != nil {
-		return Prediction{}, err
-	}
-	if err := e.resolveModel(&obs, nil); err != nil {
-		return Prediction{}, err
-	}
-	var (
-		pred Prediction
-		ierr error
-		seq  uint64
-	)
-	if err := e.pool.Do(obs.Model, func(s *shardState) {
-		pred, ierr = e.apply(s, obs)
-		seq = s.lastSeq
-	}); err != nil {
-		return Prediction{}, err
-	}
-	if ierr == nil {
-		if err := e.waitSyncAcks(seq); err != nil {
-			return pred, err
-		}
-	}
-	return pred, ierr
+	r := e.IngestBatch([]FleetObservation{obs})[0]
+	return r.Prediction, r.Err
 }
 
 // BatchResult is one observation's outcome in IngestBatch.
@@ -607,6 +600,21 @@ func (e *Engine) getScratch() *batchScratch {
 	}
 }
 
+// group appends batch index i to model's group, keeping first-seen
+// model order and per-model batch order.
+func (sc *batchScratch) group(model string, i int) {
+	k, ok := sc.groups[model]
+	if !ok {
+		k = len(sc.order)
+		sc.groups[model] = k
+		sc.order = append(sc.order, model)
+		if k == len(sc.idxs) {
+			sc.idxs = append(sc.idxs, nil)
+		}
+	}
+	sc.idxs[k] = append(sc.idxs[k], i)
+}
+
 // IngestBatch fans a slice of observations out to their model shards
 // and gathers the replies. Observations for the same model are applied
 // in slice order; distinct models proceed in parallel. Each entry
@@ -633,17 +641,7 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 			continue
 		}
 		sc.pending[batch[i].Serial] = batch[i].Model
-		m := batch[i].Model
-		k, ok := sc.groups[m]
-		if !ok {
-			k = len(sc.order)
-			sc.groups[m] = k
-			sc.order = append(sc.order, m)
-			if k == len(sc.idxs) {
-				sc.idxs = append(sc.idxs, nil)
-			}
-		}
-		sc.idxs[k] = append(sc.idxs[k], i)
+		sc.group(batch[i].Model, i)
 	}
 	// Synchronous commit waits once per batch, on the highest sequence
 	// number any group logged; the slice is only allocated when the
@@ -658,7 +656,12 @@ func (e *Engine) IngestBatch(batch []FleetObservation) []BatchResult {
 		wg.Add(1)
 		err := e.pool.Submit(model, func(s *shardState) {
 			defer wg.Done()
-			e.applyBatch(s, batch, idxs, res)
+			items := s.stage(batch, idxs, recObserveV2, 0)
+			e.logAndApply(s, items)
+			for j, i := range idxs {
+				res[i] = BatchResult{Prediction: items[j].pred, Err: items[j].err}
+			}
+			s.unstage()
 			if maxSeqs != nil {
 				maxSeqs[k] = s.lastSeq
 			}
@@ -714,34 +717,20 @@ func (e *Engine) Retire(serial string) error {
 	if !ok {
 		return nil
 	}
-	var (
-		ierr error
-		seq  uint64
-	)
+	var it applyItem
 	if err := e.pool.Do(model, func(s *shardState) {
-		if e.wal != nil {
-			sq, err := e.wal.Append(encodeRetireRecord(model, serial))
-			if err != nil {
-				ierr = err
-				return
-			}
-			s.lastSeq = sq
-			if s.firstUnsnapped == 0 {
-				s.firstUnsnapped = sq
-			}
-			seq = sq
-		}
-		s.p.Retire(serial)
-		e.mu.Lock()
-		delete(e.modelOf, serial)
-		e.mu.Unlock()
+		obs := FleetObservation{Model: model, Observation: Observation{Serial: serial}}
+		s.items = append(s.items[:0], applyItem{rec: walRecord{kind: recRetire, obs: obs}})
+		e.logAndApply(s, s.items)
+		it = s.items[0]
+		s.unstage()
 	}); err != nil {
 		return err
 	}
-	if ierr != nil {
-		return ierr
+	if it.err != nil {
+		return it.err
 	}
-	return e.waitSyncAcks(seq)
+	return e.waitSyncAcks(it.seq)
 }
 
 // Models returns the drive models with live shards, sorted.
@@ -989,82 +978,17 @@ func (e *Engine) recover() error {
 	err = w.Replay(func(seq uint64, payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("orfdisk: WAL record at seq %d: %w", seq, err)
 		}
-		switch rec.kind {
-		case recCursor:
-			e.noteCursorRecord(seq, rec.cur)
+		e.noteResumeRecord(seq, rec)
+		if rec.kind == recCursor {
 			e.met.replayed.Inc()
 			return nil
-		case recObserveBF:
-			e.noteBackfillRecord(seq)
 		}
 		if seq <= snapSeq[rec.obs.Model] {
 			return nil
 		}
-		switch rec.kind {
-		case recObserve, recObserveV2, recObserveBF:
-			e.mu.Lock()
-			e.modelOf[rec.obs.Serial] = rec.obs.Model
-			e.mu.Unlock()
-			var ierr error
-			if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-				if rec.kind == recObserveBF {
-					// Backfill rows were absorbed without scoring on the
-					// live path; replay the same way (identical state,
-					// and recovery skips the tree walk too).
-					ierr = s.p.Absorb(rec.obs.Observation)
-				} else {
-					_, ierr = s.p.Ingest(rec.obs.Observation)
-				}
-				s.lastSeq = seq
-				if s.firstUnsnapped == 0 {
-					s.firstUnsnapped = seq
-				}
-				if ierr == nil {
-					e.noteApplied(s, 1)
-				}
-			}); err != nil {
-				return err
-			}
-			if ierr != nil {
-				// A record the predictor rejects is a poison pill, not
-				// a reason to refuse to start: the live path already
-				// surfaced this exact error to the client (apply
-				// appends before Ingest, so the record persisted), and
-				// replaying it fails the same deterministic way.
-				// Aborting here would brick the deployment — every
-				// restart replays the same record and dies. Count it,
-				// log it, move on; state matches the live run exactly.
-				e.met.replaySkipped.Inc()
-				e.log.Warn("wal replay: predictor rejected record; skipping",
-					"seq", seq, "model", rec.obs.Model, "serial", rec.obs.Serial, "err", ierr)
-				return nil
-			}
-			e.met.replayed.Inc()
-			if rec.obs.Failed {
-				e.mu.Lock()
-				delete(e.modelOf, rec.obs.Serial)
-				e.mu.Unlock()
-			}
-		case recRetire:
-			if err := e.pool.Do(rec.obs.Model, func(s *shardState) {
-				s.p.Retire(rec.obs.Serial)
-				s.lastSeq = seq
-				if s.firstUnsnapped == 0 {
-					s.firstUnsnapped = seq
-				}
-			}); err != nil {
-				return err
-			}
-			e.mu.Lock()
-			delete(e.modelOf, rec.obs.Serial)
-			e.mu.Unlock()
-			e.met.replayed.Inc()
-		default:
-			return fmt.Errorf("orfdisk: unknown WAL record kind %d at seq %d", rec.kind, seq)
-		}
-		return nil
+		return e.applyDurable(seq, rec, true)
 	})
 	if err != nil {
 		return err
@@ -1076,6 +1000,17 @@ func (e *Engine) recover() error {
 		"replayed", e.met.replayed.Value(),
 		"skipped", e.met.replaySkipped.Value())
 	return nil
+}
+
+// applyDurable is the replay and replication feeder: it applies one
+// decoded, already-durable record on its model's shard, synchronously,
+// so records apply in WAL order.
+func (e *Engine) applyDurable(seq uint64, rec walRecord, recovering bool) error {
+	return e.pool.Do(rec.obs.Model, func(s *shardState) {
+		s.items = append(s.items[:0], applyItem{seq: seq, rec: rec})
+		e.applyRecords(s, s.items, recovering)
+		s.unstage()
+	})
 }
 
 func snapName(model string) string {
@@ -1193,28 +1128,67 @@ type walRecord struct {
 
 func encodeObserveRecord(obs FleetObservation) []byte {
 	n := 1 + 4 + len(obs.Model) + 4 + len(obs.Serial) + 8 + 1 + 4 + 8*len(obs.Values)
-	return appendObserveRecord(make([]byte, 0, n), obs)
+	return appendObserveRecordKind(make([]byte, 0, n), obs, recObserveV2)
 }
 
-// appendObserveRecord frames an observe record onto buf, letting hot
-// paths reuse one scratch buffer instead of allocating per record. It
-// writes the v2 format: varint header fields, then each value as a
-// length byte (0-8) plus that many significant bytes of the value's
-// byte-reversed float bits. The reversal moves the near-universal
-// small-integer SMART values' zero mantissa bytes to the top, so most
-// values pack into 1-4 bytes instead of 8: typical records shrink
-// >2x, which halves WAL volume, write() time and replay I/O. Unlike a
-// varint the payload is written with one 8-byte store per value (the
-// oversized store lands in reserved scratch and is overwritten by the
-// next field), keeping the encoder off the record's critical path.
-func appendObserveRecord(buf []byte, obs FleetObservation) []byte {
-	return appendObserveRecordKind(buf, obs, recObserveV2)
+// appendRecord frames rec onto buf in the current writer's format: the
+// inverse of decodeRecord for every kind the engine writes (legacy
+// fixed-width observe records are decode-only).
+func appendRecord(buf []byte, rec walRecord) []byte {
+	switch rec.kind {
+	case recObserveV2, recObserveBF:
+		return appendObserveRecordKind(buf, rec.obs, rec.kind)
+	case recRetire:
+		buf = append(buf, recRetire)
+		buf = appendString(buf, rec.obs.Model)
+		return appendString(buf, rec.obs.Serial)
+	case recCursor:
+		return appendCursorRecord(buf, *rec.cur)
+	}
+	panic(fmt.Sprintf("orfdisk: no writer for WAL record kind %d", rec.kind))
 }
 
-// appendObserveRecordKind writes the v2 observe body under an explicit
-// kind byte: recObserveV2 for the live path, recObserveBF for backfill
-// rows (same wire format, distinct kind so the resume cursor counts
-// only its own rows).
+// walBatch frames a run of records into one reused buffer for a single
+// wal.AppendBatch, so hot paths do not allocate per record. The zero
+// value is ready to use.
+type walBatch struct {
+	buf  []byte
+	ends []int
+	recs [][]byte
+}
+
+func (b *walBatch) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
+
+func (b *walBatch) add(rec walRecord) {
+	b.buf = appendRecord(b.buf, rec)
+	b.ends = append(b.ends, len(b.buf))
+}
+
+// payloads slices the buffer into one payload per added record, valid
+// until the next reset.
+func (b *walBatch) payloads() [][]byte {
+	b.recs = b.recs[:0]
+	start := 0
+	for _, end := range b.ends {
+		b.recs = append(b.recs, b.buf[start:end])
+		start = end
+	}
+	return b.recs
+}
+
+// appendObserveRecordKind frames an observe record onto buf under an
+// explicit kind byte: recObserveV2 for the live path, recObserveBF for
+// backfill rows (same wire format, distinct kind so the resume cursor
+// counts only its own rows). It writes the v2 format: varint header
+// fields, then each value as a length byte (0-8) plus that many
+// significant bytes of the value's byte-reversed float bits. The
+// reversal moves the near-universal small-integer SMART values' zero
+// mantissa bytes to the top, so most values pack into 1-4 bytes instead
+// of 8: typical records shrink >2x, which halves WAL volume, write()
+// time and replay I/O. Unlike a varint the payload is written with one
+// 8-byte store per value (the oversized store lands in reserved scratch
+// and is overwritten by the next field), keeping the encoder off the
+// record's critical path.
 func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte {
 	// Worst case per value: 1 length byte + 8 payload; +8 slack so the
 	// last value's full-width store stays in bounds.
@@ -1249,14 +1223,6 @@ func appendObserveRecordKind(buf []byte, obs FleetObservation, kind byte) []byte
 	return buf[:n+i]
 }
 
-func encodeRetireRecord(model, serial string) []byte {
-	buf := make([]byte, 0, 1+4+len(model)+4+len(serial))
-	buf = append(buf, recRetire)
-	buf = appendString(buf, model)
-	buf = appendString(buf, serial)
-	return buf
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 	return append(buf, s...)
@@ -1268,15 +1234,18 @@ func decodeRecord(b []byte) (walRecord, error) {
 		return rec, fmt.Errorf("orfdisk: empty WAL record")
 	}
 	rec.kind = b[0]
-	if rec.kind == recObserveV2 || rec.kind == recObserveBF {
+	switch rec.kind {
+	case recObserveV2, recObserveBF:
 		out, err := decodeObserveV2(b[1:])
 		out.kind = rec.kind
 		return out, err
-	}
-	if rec.kind == recCursor {
+	case recCursor:
 		cur, err := decodeCursorRecord(b[1:])
 		rec.cur = cur
 		return rec, err
+	case recObserve, recRetire:
+	default:
+		return rec, fmt.Errorf("orfdisk: unknown WAL record kind %d", rec.kind)
 	}
 	b = b[1:]
 	var err error
@@ -1307,7 +1276,7 @@ func decodeRecord(b []byte) (walRecord, error) {
 }
 
 // decodeObserveV2 parses the varint-packed observe body written by
-// appendObserveRecord (b excludes the kind byte).
+// appendObserveRecordKind (b excludes the kind byte).
 func decodeObserveV2(b []byte) (walRecord, error) {
 	rec := walRecord{kind: recObserveV2}
 	bad := func() (walRecord, error) {
