@@ -15,7 +15,7 @@ import (
 
 // copyTree copies the regular files under src into a fresh dst,
 // standing in for the disk image a crash would leave behind.
-func copyTree(t *testing.T, src string) string {
+func copyTree(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {

@@ -68,6 +68,12 @@ type Engine struct {
 
 	snapMu  sync.Mutex
 	snapped map[string]uint64 // last snapshotted WAL seq per model
+	// snapCutoff is the WAL truncation cutoff of the last completed
+	// snapshot pass, before any retain floor capped it: every record
+	// below it is covered by the snapshot files and the backfill cursor
+	// file on disk. 0 when no pass has completed since recovery. Seed
+	// ships the WAL from it.
+	snapCutoff uint64
 
 	// bf is the bulk-backfill cursor state (see backfill_engine.go).
 	bf bfState
@@ -231,6 +237,7 @@ type engineMetrics struct {
 	snapshotBytes   *metrics.GaugeVec
 	replayed        *metrics.Counter
 	replaySkipped   *metrics.Counter
+	recoverySeconds *metrics.Gauge
 	freezes         *metrics.Counter
 	predictRequests *metrics.Counter
 	predictSeconds  *metrics.Histogram
@@ -247,6 +254,7 @@ func newEngineMetrics(reg *metrics.Registry) engineMetrics {
 		snapshotBytes:   reg.GaugeVec("engine_snapshot_bytes", "Bytes written by the most recent snapshot pass, by on-disk format.", "format"),
 		replayed:        reg.Counter("engine_recovery_replayed_records_total", "WAL records replayed during crash recovery."),
 		replaySkipped:   reg.Counter("engine_recovery_skipped_records_total", "WAL records skipped during recovery because the predictor rejected them (poison pills)."),
+		recoverySeconds: reg.Gauge("engine_recovery_seconds", "Wall time of the most recent recovery: startup replay, or a follower's whole seed install."),
 		freezes:         reg.Counter("engine_frozen_publishes_total", "Frozen scoring snapshots published for the lock-free read path."),
 		predictRequests: reg.Counter("predict_requests_total", "Read-path scoring requests served from frozen snapshots (Score and ScoreBatch calls)."),
 		predictSeconds:  reg.Histogram("predict_seconds", "Wall time of one read-path scoring request (single or batch)."),
@@ -860,6 +868,7 @@ func (e *Engine) Snapshot() error {
 		e.met.snapshotErrors.Inc()
 		return err
 	}
+	e.snapCutoff = cutoff
 	e.met.snapshots.Inc()
 	e.met.snapshotSeconds.Observe(time.Since(start).Seconds())
 	e.met.snapshotBytes.With(snapshotFormat).Set(float64(totalBytes))
@@ -906,6 +915,7 @@ const (
 )
 
 func (e *Engine) recover() error {
+	start := time.Now()
 	dir := e.cfg.DataDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -975,6 +985,9 @@ func (e *Engine) recover() error {
 	// accounting runs FIRST, before the snapshot skip: a backfill row a
 	// model snapshot covers still counts toward rowsAfter when the
 	// cursor file predates that snapshot (crash between the two writes).
+	// A skipped record does not cut the pending run: it changes no
+	// state, so the applied records keep their WAL order.
+	var run durableRun
 	err = w.Replay(func(seq uint64, payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
@@ -988,29 +1001,106 @@ func (e *Engine) recover() error {
 		if seq <= snapSeq[rec.obs.Model] {
 			return nil
 		}
-		return e.applyDurable(seq, rec, true)
+		if run.cuts(rec.obs.Model) {
+			if err := e.applyRun(&run, true); err != nil {
+				return err
+			}
+		}
+		run.add(seq, rec, nil)
+		return nil
 	})
+	if err == nil {
+		err = e.applyRun(&run, true)
+	}
 	if err != nil {
 		return err
 	}
 	// Never reuse sequence numbers a snapshot already accounts for.
 	w.SkipTo(maxSnap + 1)
+	// No completed snapshot pass vouches for a cutoff yet: a seed served
+	// before the next pass ships the whole WAL.
+	e.snapCutoff = 0
+	elapsed := time.Since(start)
+	e.met.recoverySeconds.Set(elapsed.Seconds())
 	e.log.Info("recovery complete",
 		"snapshots", len(e.recovered),
 		"replayed", e.met.replayed.Value(),
-		"skipped", e.met.replaySkipped.Value())
+		"skipped", e.met.replaySkipped.Value(),
+		"elapsed", elapsed)
 	return nil
 }
 
-// applyDurable is the replay and replication feeder: it applies one
-// decoded, already-durable record on its model's shard, synchronously,
-// so records apply in WAL order.
-func (e *Engine) applyDurable(seq uint64, rec walRecord, recovering bool) error {
-	return e.pool.Do(rec.obs.Model, func(s *shardState) {
-		s.items = append(s.items[:0], applyItem{seq: seq, rec: rec})
-		e.applyRecords(s, s.items, recovering)
-		s.unstage()
+// maxApplyRun caps the records one durable run holds. It bounds the
+// decoded records a feeder keeps in memory; a longer same-model stretch
+// of the WAL is simply cut into several runs.
+const maxApplyRun = 512
+
+// durableRun is a maximal stretch of consecutive durable records for one
+// model, gathered by the replay and replication feeders so that a run
+// costs one shard dispatch instead of one per record.
+type durableRun struct {
+	model string
+	items []applyItem
+	// payloads holds a replicated run's raw records, which applyRun
+	// appends to the follower's WAL; nil during replay.
+	payloads [][]byte
+}
+
+// cuts reports whether a record for model must start a new run: the
+// pending run belongs to another model or is full.
+func (r *durableRun) cuts(model string) bool {
+	return len(r.items) > 0 && (r.model != model || len(r.items) == maxApplyRun)
+}
+
+func (r *durableRun) add(seq uint64, rec walRecord, payload []byte) {
+	r.model = rec.obs.Model
+	r.items = append(r.items, applyItem{seq: seq, rec: rec})
+	if payload != nil {
+		r.payloads = append(r.payloads, payload)
+	}
+}
+
+// applyRun is the replay and replication feeder: it applies a pending
+// run on its model's shard in one synchronous dispatch and empties it.
+// Runs apply one after another, so records reach applyRecords in WAL
+// order across all shards and routes commit in that order too.
+//
+// A replicated run (payloads set) is appended to the follower's WAL on
+// the worker, right before its apply, exactly like the live feeder: a
+// snapshot pass reads each shard on its worker, so it either sees the
+// run applied (and pins the truncation cutoff at it) or captured its
+// NextSeq fallback before the append. Appending outside the worker
+// would let a pass truncate a rotated-out segment whose records no
+// shard had applied yet. A record already below the WAL tail is
+// durable from an earlier delivery whose apply never ran (an append
+// failed mid-run, tearing the stream down); redelivery only needs the
+// apply, as re-appending would fail AppendAt's monotonicity check and
+// wedge replication forever. Backfill resume accounting runs after each
+// append so a cursor file never counts a record the WAL does not hold.
+func (e *Engine) applyRun(run *durableRun, recovering bool) error {
+	if len(run.items) == 0 {
+		return nil
+	}
+	var aerr error
+	err := e.pool.Do(run.model, func(s *shardState) {
+		for i, p := range run.payloads {
+			it := &run.items[i]
+			if it.seq >= e.wal.NextSeq() {
+				if aerr = e.wal.AppendAt(it.seq, p); aerr != nil {
+					return
+				}
+			}
+			e.noteResumeRecord(it.seq, it.rec)
+		}
+		e.applyRecords(s, run.items, recovering)
 	})
+	clear(run.items)
+	clear(run.payloads)
+	run.items, run.payloads = run.items[:0], run.payloads[:0]
+	if err != nil {
+		return err
+	}
+	return aerr
 }
 
 func snapName(model string) string {

@@ -115,10 +115,12 @@ func (e *Engine) ObserveLeaderHead(head uint64, sentAt time.Time) {
 }
 
 // ApplyReplicated durably applies a batch of leader records: each is
-// appended to the follower's WAL at the leader's sequence number, then
+// appended to the follower's WAL at the leader's sequence number and
 // applied to its model's shard through the same applyRecords as every
-// other source; the batch is fsynced before return, so the ack that
-// follows only ever covers crash-safe state. Part of replica.Applier.
+// other source, one shard dispatch per run of same-model records (see
+// applyRun); the batch is fsynced before return, so the ack that
+// follows only ever covers crash-safe state. The applied position
+// advances only after a whole run is applied. Part of replica.Applier.
 func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 	if !e.follower.Load() {
 		// A promoted (or misconfigured) engine must not mix a replication
@@ -126,36 +128,56 @@ func (e *Engine) ApplyReplicated(recs []replica.Record) error {
 		return ErrNotLeader
 	}
 	applied := e.replApplied.Load()
+	var run durableRun
+	flush := func() error {
+		if len(run.items) == 0 {
+			return nil
+		}
+		last := run.items[len(run.items)-1].seq
+		if err := e.applyRun(&run, false); err != nil {
+			return err
+		}
+		applied = last
+		e.replApplied.Store(applied)
+		return nil
+	}
 	for _, r := range recs {
 		if r.Seq <= applied {
 			continue // duplicate delivery after a reconnect
-		}
-		// A record below the WAL tail is already durable here from an
-		// earlier delivery whose in-memory apply failed transiently
-		// (e.g. ErrBusy on a full shard mailbox tore the stream down
-		// after AppendAt succeeded). Redelivery then only needs the
-		// apply: re-appending would fail AppendAt's monotonicity check
-		// forever and permanently wedge replication on reconnect.
-		if r.Seq >= e.wal.NextSeq() {
-			if err := e.wal.AppendAt(r.Seq, r.Payload); err != nil {
-				return err
-			}
 		}
 		rec, err := decodeRecord(r.Payload)
 		if err != nil {
 			return fmt.Errorf("orfdisk: replicated record at seq %d: %w", r.Seq, err)
 		}
+		if rec.kind != recCursor {
+			if run.cuts(rec.obs.Model) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			run.add(r.Seq, rec, r.Payload)
+			continue
+		}
 		// Cursor records carry no model state: the follower only tracks
 		// the resume point, so a promoted follower can continue an
-		// interrupted backfill exactly like a restarted leader.
-		e.noteResumeRecord(r.Seq, rec)
-		if rec.kind != recCursor {
-			if err := e.applyDurable(r.Seq, rec, false); err != nil {
+		// interrupted backfill exactly like a restarted leader. The
+		// pending run goes first so the position never passes an
+		// unapplied record. A record below the WAL tail is already
+		// durable from an earlier delivery (see applyRun).
+		if err := flush(); err != nil {
+			return err
+		}
+		if r.Seq >= e.wal.NextSeq() {
+			if err := e.wal.AppendAt(r.Seq, r.Payload); err != nil {
 				return err
 			}
 		}
+		e.noteResumeRecord(r.Seq, rec)
 		applied = r.Seq
 		e.replApplied.Store(applied)
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	return e.wal.Sync()
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"orfdisk/internal/replica"
 )
@@ -48,12 +49,20 @@ const (
 
 var errNotFollowerSeed = errors.New("orfdisk: only a follower installs seeds")
 
-// Seed implements replica.SeedProvider: it snapshots (shrinking the
-// WAL tail to ship), then collects open handles on every file a fresh
-// follower needs. The handles stay readable for the life of the
-// transfer even if a later snapshot unlinks a segment — truncation
-// uses os.Remove, which never disturbs an open descriptor — so the set
-// is consistent without holding any lock while it streams.
+// Seed implements replica.SeedProvider: it snapshots, then collects
+// open handles on every file a fresh follower needs. The handles stay
+// readable for the life of the transfer even if a later snapshot
+// unlinks a segment — truncation uses os.Remove, which never disturbs
+// an open descriptor — so the set is consistent without holding any
+// lock while it streams.
+//
+// The WAL ships from the snapshot pass's own cutoff (snapCutoff), not
+// from what truncation left on disk. The seeding follower pins the
+// retain floor at its stale position, so that pass truncates nothing;
+// shipping every retained segment would send records the snapshots in
+// the same set already cover, and the follower would read each one
+// only to skip it. The set is the image the leader itself would hold
+// had the pass run with no floor, which recovers like any crash image.
 func (e *Engine) Seed() (files []replica.SeedFile, head uint64, err error) {
 	if e.wal == nil {
 		return nil, 0, errors.New("orfdisk: seeding requires a DataDir")
@@ -118,6 +127,11 @@ func (e *Engine) Seed() (files []replica.SeedFile, head uint64, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	type walSeg struct {
+		name     string
+		firstSeq uint64
+	}
+	var segs []walSeg // ReadDir sorts by name: zero-padded, so by firstSeq
 	for _, ent := range wents {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, walSuffix) {
@@ -125,6 +139,16 @@ func (e *Engine) Seed() (files []replica.SeedFile, head uint64, err error) {
 		}
 		firstSeq, perr := strconv.ParseUint(strings.TrimSuffix(name, walSuffix), 10, 64)
 		if perr != nil {
+			continue
+		}
+		segs = append(segs, walSeg{name, firstSeq})
+	}
+	for i, sg := range segs {
+		name, firstSeq := sg.name, sg.firstSeq
+		// Every record of a segment lies below its successor's first
+		// sequence number; at or below the cutoff, the snapshots cover
+		// them all.
+		if firstSeq != tailStart && i+1 < len(segs) && segs[i+1].firstSeq <= e.snapCutoff {
 			continue
 		}
 		// Keep the sealed tail segment even when it holds no durable
@@ -218,6 +242,7 @@ func (e *Engine) CommitSeed(dir string) error {
 	// reads e.wal and the shard set, both replaced below.
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
+	start := time.Now()
 
 	// Durable commit point. From here a crash finishes the install on
 	// restart instead of recovering half-swapped state.
@@ -265,8 +290,12 @@ func (e *Engine) CommitSeed(dir string) error {
 		return err
 	}
 	e.replApplied.Store(e.wal.NextSeq() - 1)
+	// The install as a whole is this node's recovery: swap, replay and
+	// republication.
+	elapsed := time.Since(start)
+	e.met.recoverySeconds.Set(elapsed.Seconds())
 	e.log.Info("seed installed",
-		"files", len(manifest), "resume_after", e.replApplied.Load())
+		"files", len(manifest), "resume_after", e.replApplied.Load(), "elapsed", elapsed)
 	return nil
 }
 
